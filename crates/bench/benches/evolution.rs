@@ -2,14 +2,18 @@
 //! loop (§3.2 claims evolutionary search has "relatively fast iterative
 //! speed"; this bench quantifies it).
 //!
-//! Sweeps cluster sizes 16/32/64 GPUs with all combinations of the three
-//! hot-loop accelerations (search-scoped throughput cache, parallel
-//! candidate derivation, delta scoring), then scale rows at 1 024 and
-//! 10 240 GPUs comparing the cached full-rescore path ("cache" — the
-//! pre-delta baseline) against delta scoring with and without parallel
-//! derivation. Every acceleration is exact: before timing, each size
-//! runs all of its variants lockstep from the same seed and asserts the
-//! per-generation best schedules are bit-identical.
+//! Sweeps cluster sizes 16/32/64 GPUs, then scale rows at 1 024 and
+//! 10 240 GPUs, each with sequential (`delta`) and parallel
+//! (`delta_parallel`) candidate derivation. Parallel derivation is exact:
+//! before timing, each size runs both variants lockstep from the same
+//! seed and asserts the per-generation best schedules are bit-identical.
+//!
+//! Each size then scores the warm population two ways: the full-rescore
+//! oracle (`scoring::score_all` over the search's warm cache) and the
+//! production path (`remaining_workloads` + `ScoreCard::score` over the
+//! search's own cards). The two score vectors must be equal bit for bit;
+//! the ratio of their timings, as a median over alternating batches, is
+//! the scoring speedup.
 //!
 //! Reported per variant: per-generation latency, the scoring-phase share
 //! from the search's own perf counters, the lifetime cache hit rate and
@@ -20,13 +24,14 @@
 //! Knobs:
 //! * `BENCH_SIZES=16,1024` — override the swept cluster sizes.
 //! * `BENCH_MIN_SCORING_SPEEDUP=5.0` — fail (non-zero exit) unless the
-//!   1 024-GPU delta-vs-cache scoring-phase speedup meets the floor;
+//!   1 024-GPU card-vs-oracle scoring speedup meets the floor;
 //!   `scripts/ci.sh` derives the floor from the committed baseline JSON.
 
-use ones_bench::harness::{bench_with, fmt_ns, BenchOpts, Measurement};
+use ones_bench::harness::{bench_with, fmt_ns, median_ratio, BenchOpts, Measurement};
 use ones_cluster::ClusterSpec;
 use ones_dlperf::{ConvergenceModel, DatasetKind, ModelKind, PerfModel};
-use ones_evo::{EvoConfig, EvoContext, EvolutionarySearch};
+use ones_evo::scoring::score_all;
+use ones_evo::{remaining_workloads, sample_rhos, EvoConfig, EvoContext, EvolutionarySearch};
 use ones_schedcore::{ClusterView, JobPhase, JobStatus, Schedule};
 use ones_simcore::{DetRng, SimTime};
 use ones_stats::Beta;
@@ -87,34 +92,10 @@ fn fixture(gpus: u32, n_jobs: u64) -> Fixture {
     }
 }
 
-/// One feature combination under test: `(name, use_cache, parallel_derive,
-/// delta_score)`.
-type Variant = (&'static str, bool, bool, bool);
+/// One variant under test: `(name, parallel_derive)`.
+type Variant = (&'static str, bool);
 
-const ALL_VARIANTS: [Variant; 6] = [
-    ("baseline", false, false, false),
-    ("cache", true, false, false),
-    ("parallel", false, true, false),
-    ("cache_parallel", true, true, false),
-    ("delta", true, false, true),
-    ("delta_parallel", true, true, true),
-];
-
-/// The subset swept at the 1k/10k scale rows: cache on everywhere —
-/// "cache" is the measured baseline (full rescore over a warm cache, the
-/// hot loop as of the cache PR), "delta" isolates delta scoring,
-/// "delta_parallel" adds parallel derivation.
-const SCALE_VARIANTS: [Variant; 3] = [
-    ("cache", true, false, false),
-    ("delta", true, false, true),
-    ("delta_parallel", true, true, true),
-];
-
-/// The cached-but-full-rescore variant: the reference the delta-scoring
-/// speedup is measured against (the hot loop as of the cache PR).
-const CACHED_BASELINE: &str = "cache";
-/// All accelerations on.
-const FULL: &str = "delta_parallel";
+const VARIANTS: [Variant; 2] = [("delta", false), ("delta_parallel", true)];
 
 /// How one cluster size is swept.
 struct Plan {
@@ -124,7 +105,6 @@ struct Plan {
     /// K = |C| at scale rows so a single bench run stays tractable; the
     /// cap is recorded in the JSON row as `population`).
     population: usize,
-    variants: &'static [Variant],
     opts: BenchOpts,
     /// Settling generations before timing (also the lockstep
     /// bit-identical verification length).
@@ -136,7 +116,6 @@ fn plan_for(gpus: u32) -> Plan {
         Plan {
             jobs: u64::from(gpus),
             population: gpus as usize,
-            variants: &ALL_VARIANTS,
             opts: BenchOpts::coarse(),
             warm: 3,
         }
@@ -144,7 +123,6 @@ fn plan_for(gpus: u32) -> Plan {
         Plan {
             jobs: u64::from(gpus / 8).min(1024),
             population: if gpus <= 2048 { 128 } else { 64 },
-            variants: &SCALE_VARIANTS,
             opts: BenchOpts {
                 samples: 3,
                 target_sample_nanos: 1,
@@ -156,13 +134,10 @@ fn plan_for(gpus: u32) -> Plan {
 }
 
 fn config(gpus: u32, plan: &Plan, v: &Variant) -> EvoConfig {
-    let &(_, use_cache, parallel_derive, delta_score) = v;
     let mut cfg = EvoConfig::for_cluster(gpus);
     cfg.population = plan.population;
     cfg.crossover_pairs = plan.population;
-    cfg.use_cache = use_cache;
-    cfg.parallel_derive = parallel_derive;
-    cfg.delta_score = delta_score;
+    cfg.parallel_derive = v.1;
     cfg
 }
 
@@ -176,14 +151,13 @@ fn view_of(fx: &Fixture) -> ClusterView<'_> {
     }
 }
 
-/// Runs every planned variant lockstep from the same seed and asserts the
-/// per-generation best schedules are bit-identical — the accelerations
-/// must be transparent before their speed is worth reporting.
+/// Runs both variants lockstep from the same seed and asserts the
+/// per-generation best schedules are bit-identical — parallel derivation
+/// must be transparent before its speed is worth reporting.
 fn verify_bit_identical(gpus: u32, fx: &Fixture, plan: &Plan) {
     let view = view_of(fx);
     let ctx = EvoContext::new(&view, &fx.limits, &fx.betas);
-    let mut searches: Vec<(&str, EvolutionarySearch)> = plan
-        .variants
+    let mut searches: Vec<(&str, EvolutionarySearch)> = VARIANTS
         .iter()
         .map(|v| {
             (
@@ -223,7 +197,13 @@ struct VariantResult {
     warm_hit_rate: f64,
 }
 
-fn run_variant(gpus: u32, fx: &Fixture, plan: &Plan, v: &Variant) -> VariantResult {
+/// Times one variant; returns its result and the warm search.
+fn run_variant(
+    gpus: u32,
+    fx: &Fixture,
+    plan: &Plan,
+    v: &Variant,
+) -> (VariantResult, EvolutionarySearch) {
     let view = view_of(fx);
     let ctx = EvoContext::new(&view, &fx.limits, &fx.betas);
     let mut search = EvolutionarySearch::new(config(gpus, plan, v), DetRng::seed(1));
@@ -237,12 +217,67 @@ fn run_variant(gpus: u32, fx: &Fixture, plan: &Plan, v: &Variant) -> VariantResu
     });
     let after = search.perf_counters();
     let gens = (after.generations - before.generations).max(1) as f64;
-    VariantResult {
+    let result = VariantResult {
         name: v.0,
         measurement,
         score_ns_per_gen: (after.score_nanos - before.score_nanos) as f64 / gens,
         cache_hit_rate: after.cache_hit_rate(),
         warm_hit_rate: after.warm_hit_rate(),
+    };
+    (result, search)
+}
+
+/// Timings of the two ways of scoring one warm population.
+struct ScoringResult {
+    /// `score_all` over the search's warm cache: the full rescore.
+    oracle: Measurement,
+    /// `remaining_workloads` + `ScoreCard::score` over the search's cards.
+    cards: Measurement,
+    /// Oracle time over card time: the median over alternating batches.
+    speedup: f64,
+}
+
+/// Scores a warm search's population with the full-rescore oracle and
+/// with the search's own score cards under one ρ-sample, asserts the two
+/// agree bit for bit, and times both.
+fn compare_scoring(gpus: u32, fx: &Fixture, search: &EvolutionarySearch) -> ScoringResult {
+    let view = view_of(fx);
+    let ctx = EvoContext::new(&view, &fx.limits, &fx.betas).with_cache(search.cache());
+    let pool = search.population();
+    let cards = search.score_cards();
+    let rhos = sample_rhos(&ctx, &mut DetRng::seed(2));
+    let mut oracle = || score_all(&ctx, pool, &rhos);
+    let mut by_cards = || {
+        let remaining = remaining_workloads(&ctx, &rhos);
+        cards
+            .iter()
+            .map(|c| c.score(&remaining))
+            .collect::<Vec<f64>>()
+    };
+    let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<u64>>();
+    assert!(
+        bits(oracle()) == bits(by_cards()),
+        "{gpus} GPUs: card scores diverged from the full rescore"
+    );
+    println!(
+        "  card scores bit-identical to the full rescore over {} members",
+        pool.len()
+    );
+    let oracle_m = bench_with(
+        BenchOpts::default(),
+        &format!("{gpus}gpu/score_all"),
+        &mut oracle,
+    );
+    let cards_m = bench_with(
+        BenchOpts::default(),
+        &format!("{gpus}gpu/cards"),
+        &mut by_cards,
+    );
+    let speedup = median_ratio(15, (&oracle_m, &mut oracle), (&cards_m, &mut by_cards));
+    ScoringResult {
+        oracle: oracle_m,
+        cards: cards_m,
+        speedup,
     }
 }
 
@@ -269,26 +304,19 @@ fn main() {
         let plan = plan_for(gpus);
         let fx = fixture(gpus, plan.jobs);
         verify_bit_identical(gpus, &fx, &plan);
-        let results: Vec<VariantResult> = plan
-            .variants
+        let (results, searches): (Vec<VariantResult>, Vec<EvolutionarySearch>) = VARIANTS
             .iter()
             .map(|v| run_variant(gpus, &fx, &plan, v))
-            .collect();
+            .unzip();
+        let scoring = compare_scoring(gpus, &fx, &searches[0]);
 
-        // Headline ratios: the plan's first variant (true baseline on
-        // small rows, cache_parallel on scale rows) vs everything-on,
-        // plus the delta-scoring speedup over the cached full rescore.
-        let reference = &results[0];
-        let full = results.iter().find(|r| r.name == FULL).expect("full");
-        let cached = results
-            .iter()
-            .find(|r| r.name == CACHED_BASELINE)
-            .expect("cached baseline");
-        let generation_speedup = reference.measurement.median_ns() / full.measurement.median_ns();
-        let scoring_speedup = reference.score_ns_per_gen / full.score_ns_per_gen;
-        let delta_vs_cache = cached.score_ns_per_gen / full.score_ns_per_gen;
+        // Headline ratios: sequential vs parallel derivation per
+        // generation, and the full rescore vs card scoring.
+        let parallel_speedup =
+            results[0].measurement.median_ns() / results[1].measurement.median_ns();
+        let scoring_speedup = scoring.speedup;
         if gpus == 1024 {
-            speedup_at_1024 = Some(delta_vs_cache);
+            speedup_at_1024 = Some(scoring_speedup);
         }
 
         let mut variants: Vec<(String, Value)> = Vec::new();
@@ -331,11 +359,12 @@ fn main() {
                 ]),
             ));
         }
+        scoring.oracle.print();
+        scoring.cards.print();
         println!(
-            "  {} vs {}: {generation_speedup:.2}x per generation, \
-             {scoring_speedup:.2}x scoring phase; delta vs cached rescore: \
-             {delta_vs_cache:.2}x scoring phase",
-            FULL, reference.name
+            "  {} vs {}: {parallel_speedup:.2}x per generation; cards vs full rescore: \
+             {scoring_speedup:.2}x",
+            VARIANTS[1].0, VARIANTS[0].0
         );
         by_gpus.push((
             gpus.to_string(),
@@ -347,16 +376,20 @@ fn main() {
                 ),
                 ("variants".to_string(), Value::Object(variants)),
                 (
-                    "generation_speedup".to_string(),
-                    serde_json::to_value(&generation_speedup),
+                    "parallel_speedup".to_string(),
+                    serde_json::to_value(&parallel_speedup),
                 ),
                 (
-                    "scoring_speedup".to_string(),
-                    serde_json::to_value(&scoring_speedup),
+                    "oracle_score_ns".to_string(),
+                    serde_json::to_value(&scoring.oracle.median_ns()),
+                ),
+                (
+                    "card_score_ns".to_string(),
+                    serde_json::to_value(&scoring.cards.median_ns()),
                 ),
                 (
                     "scoring_speedup_delta_vs_cache".to_string(),
-                    serde_json::to_value(&delta_vs_cache),
+                    serde_json::to_value(&scoring_speedup),
                 ),
             ]),
         ));
@@ -398,7 +431,7 @@ fn main() {
             Some(got) => {
                 assert!(
                     got >= floor,
-                    "scoring-phase speedup regression at 1024 GPUs: \
+                    "scoring speedup regression at 1024 GPUs: \
                      {got:.2}x < required {floor:.2}x"
                 );
                 println!("scoring-speedup gate OK: {got:.2}x >= {floor:.2}x at 1024 GPUs");

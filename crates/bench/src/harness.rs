@@ -147,6 +147,22 @@ pub fn bench_with<T>(opts: BenchOpts, label: &str, mut f: impl FnMut() -> T) -> 
     }
 }
 
+/// Median, over `rounds` alternating batches, of `a`'s per-iteration time
+/// over `b`'s, each batch sized as its measurement calibrated. Host drift
+/// slows both sides of a pair alike, so this ratio is steadier than the
+/// ratio of two medians taken one after the other.
+pub fn median_ratio<A, B>(
+    rounds: u32,
+    (ma, mut fa): (&Measurement, impl FnMut() -> A),
+    (mb, mut fb): (&Measurement, impl FnMut() -> B),
+) -> f64 {
+    let mut ratios: Vec<f64> = (0..rounds.max(1))
+        .map(|_| run_batch(&mut fa, ma.iters_per_sample) / run_batch(&mut fb, mb.iters_per_sample))
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[ratios.len() / 2]
+}
+
 fn run_batch<T>(f: &mut impl FnMut() -> T, iters: u64) -> f64 {
     let start = Instant::now();
     for _ in 0..iters {

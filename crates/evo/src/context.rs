@@ -277,42 +277,44 @@ pub(crate) mod testutil {
         /// Jobs with even ids are running-eligible; all start Waiting.
         pub fn new(n_jobs: u64) -> Fixture {
             let spec = ClusterSpec::new(2, 4);
-            let perf = PerfModel::new(spec);
-            let mut jobs = BTreeMap::new();
-            let mut limits = BTreeMap::new();
-            let mut betas = BTreeMap::new();
-            for i in 0..n_jobs {
-                let js = JobSpec {
-                    id: JobId(i),
-                    name: format!("j{i}"),
-                    model: ModelKind::ResNet18,
-                    dataset: DatasetKind::Cifar10,
-                    dataset_size: 20_000,
-                    submit_batch: 256,
-                    max_safe_batch: 4096,
-                    requested_gpus: 1,
-                    arrival_secs: i as f64,
-                    kill_after_secs: None,
-                    convergence: ConvergenceModel {
-                        reference_batch: 256,
-                        ..ConvergenceModel::example()
-                    },
-                };
-                jobs.insert(
-                    JobId(i),
-                    JobStatus::submitted(js, SimTime::from_secs(i as f64)),
-                );
-                limits.insert(JobId(i), 256);
-                betas.insert(JobId(i), Beta::new(2.0, 20.0));
-            }
-            Fixture {
+            let mut fx = Fixture {
                 spec,
-                perf,
-                jobs,
+                perf: PerfModel::new(spec),
+                jobs: BTreeMap::new(),
                 deployed: Schedule::empty(8),
-                limits,
-                betas,
+                limits: BTreeMap::new(),
+                betas: BTreeMap::new(),
+            };
+            for i in 0..n_jobs {
+                fx.submit(i, i as f64);
             }
+            fx
+        }
+
+        /// Adds a waiting ResNet18/CIFAR10 job arriving at `arrival_secs`.
+        pub fn submit(&mut self, id: u64, arrival_secs: f64) {
+            let js = JobSpec {
+                id: JobId(id),
+                name: format!("j{id}"),
+                model: ModelKind::ResNet18,
+                dataset: DatasetKind::Cifar10,
+                dataset_size: 20_000,
+                submit_batch: 256,
+                max_safe_batch: 4096,
+                requested_gpus: 1,
+                arrival_secs,
+                kill_after_secs: None,
+                convergence: ConvergenceModel {
+                    reference_batch: 256,
+                    ..ConvergenceModel::example()
+                },
+            };
+            self.jobs.insert(
+                JobId(id),
+                JobStatus::submitted(js, SimTime::from_secs(arrival_secs)),
+            );
+            self.limits.insert(JobId(id), 256);
+            self.betas.insert(JobId(id), Beta::new(2.0, 20.0));
         }
 
         /// Marks a job as running with some accumulated progress.

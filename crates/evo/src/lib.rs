@@ -23,15 +23,16 @@
 //! Candidate scoring inside a generation is embarrassingly parallel and
 //! uses rayon when the population is large.
 //!
-//! Three transparent accelerations ride along (see [`cache`] and the
+//! Three exact accelerations ride along (see [`cache`] and the
 //! determinism notes in [`search`]): a search-scoped [`ThroughputCache`]
 //! memoising the pure `(job, placement shape, batches) → X_j` evaluations
-//! across generations (with per-job invalidation on job events), parallel
-//! candidate derivation on per-child forked RNG streams, and delta
-//! scoring — every op reports the jobs it touched, and each candidate's
-//! [`scoring::ScoreCard`] is derived from its parent's by re-resolving
-//! only those. All are exact — `S_*` selection is bit-identical with them
-//! on or off — and all are observable through [`EvoPerfCounters`].
+//! across generations (with per-job invalidation on job events), delta
+//! scoring — each candidate's [`scoring::ScoreCard`] is derived from its
+//! parent's by re-resolving only the jobs the op touched — and parallel
+//! candidate derivation on per-child forked RNG streams. Cache plus delta
+//! scoring is the search's one scoring path, tested bit for bit against
+//! the full rescore [`scoring::score_all`]; parallel derivation is a knob
+//! that leaves `S_*` bit-identical. All show in [`EvoPerfCounters`].
 
 pub mod cache;
 pub mod context;

@@ -135,7 +135,7 @@ pub struct CardEntry {
 /// the job's configuration does. A card outlives its generation: the
 /// search keeps each population member's card and derives children's
 /// cards from their parents', recomputing only dirty jobs.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScoreCard {
     entries: Vec<CardEntry>,
 }
@@ -409,9 +409,9 @@ pub fn argmin(scores: &[f64]) -> Option<usize> {
     best
 }
 
-/// Scores all candidates with a shared ρ-sample, in parallel for large
-/// populations (the scheduler's hot loop; see the hpc guides on
-/// `par_iter`).
+/// Scores all candidates with a shared ρ-sample by a full rescore, in
+/// parallel for large pools: Algorithm 1's [`select_best`], and the
+/// reference that a search's card scoring is tested against.
 #[must_use]
 pub fn score_all(
     ctx: &EvoContext<'_>,

@@ -28,8 +28,7 @@
 //! children of pair *p* are `2p` and `2p+1`, mutant *m* is
 //! `2·crossover_pairs + m`. Because no stream is shared, executing the
 //! work sequentially or across threads is bit-identical — verified by
-//! `parallel_matches_sequential` below and the property tests in
-//! `tests/determinism_props.rs`.
+//! `parallel_matches_sequential` and the property tests below.
 
 use crate::cache::ThroughputCache;
 use crate::context::EvoContext;
@@ -59,15 +58,6 @@ pub struct EvoConfig {
     /// Derive candidates across threads (see the module docs on
     /// determinism; results are bit-identical either way).
     pub parallel_derive: bool,
-    /// Memoise throughput evaluations in the search-scoped
-    /// [`ThroughputCache`] (entries survive across generations; job
-    /// events invalidate per-job). Exact — scores are unchanged.
-    pub use_cache: bool,
-    /// Score candidates by deriving per-job [`ScoreCard`]s from their
-    /// parents' (only op-touched jobs re-resolve throughput) instead of
-    /// rescoring every job of every candidate. Exact — bit-identical to
-    /// the full rescore (see `tests/determinism_props.rs`).
-    pub delta_score: bool,
 }
 
 impl EvoConfig {
@@ -80,8 +70,6 @@ impl EvoConfig {
             crossover_pairs: gpus as usize,
             reorder: true,
             parallel_derive: true,
-            use_cache: true,
-            delta_score: true,
         }
     }
 }
@@ -105,16 +93,17 @@ where
 
 /// Legalises a derived candidate: cap batches at `R_j`, fill idle GPUs
 /// so the Eq 4 full-utilisation constraint holds, and optionally reorder
-/// for locality (Figure 10). Returns the jobs it touched and, when the
-/// child was reordered, its packed per-job layout (which lets delta
-/// scoring hash every job's new placement shape in `O(1)`).
+/// for locality (Figure 10). Returns `dirty` (the jobs the deriving op
+/// touched) grown by the jobs legalisation touched and, when the child
+/// was reordered, its packed per-job layout (which lets delta scoring
+/// hash every job's new placement shape in `O(1)`).
 fn legalise(
     ctx: &EvoContext<'_>,
     mut child: Schedule,
+    mut dirty: DirtySet,
     mut rng: DetRng,
     reorder: bool,
 ) -> (Schedule, DirtySet, Option<Vec<JobRun>>) {
-    let mut dirty = DirtySet::new();
     dirty.extend(ctx.enforce_limits(&mut child));
     dirty.extend(ops::fill_idle(ctx, &mut child, &mut rng));
     if reorder {
@@ -131,7 +120,7 @@ pub struct EvolutionarySearch {
     config: EvoConfig,
     population: Vec<Schedule>,
     /// Per-member score cards, aligned with `population`; empty until the
-    /// first delta-scored generation completes.
+    /// first generation completes.
     cards: Vec<ScoreCard>,
     /// Search-scoped throughput memo table: entries are pure in
     /// `(job, placement shape, batches)` and survive across generations.
@@ -142,6 +131,10 @@ pub struct EvolutionarySearch {
     rng: DetRng,
     generations: u64,
     counters: EvoPerfCounters,
+    /// Test oracle: select by a full rescore ([`scoring::score_all`]) over
+    /// an uncached context instead of by the score cards.
+    #[cfg(test)]
+    reference_scoring: bool,
 }
 
 impl EvolutionarySearch {
@@ -159,6 +152,18 @@ impl EvolutionarySearch {
             rng,
             generations: 0,
             counters: EvoPerfCounters::default(),
+            #[cfg(test)]
+            reference_scoring: false,
+        }
+    }
+
+    /// A search that selects by the cold full rescore: the reference the
+    /// lockstep tests hold the card-scored, cached search to.
+    #[cfg(test)]
+    fn reference(config: EvoConfig, rng: DetRng) -> Self {
+        EvolutionarySearch {
+            reference_scoring: true,
+            ..Self::new(config, rng)
         }
     }
 
@@ -202,6 +207,19 @@ impl EvolutionarySearch {
         &self.population
     }
 
+    /// The current population's score cards, aligned with
+    /// [`Self::population`].
+    #[must_use]
+    pub fn score_cards(&self) -> &[ScoreCard] {
+        &self.cards
+    }
+
+    /// The search-scoped throughput cache (warm after a generation).
+    #[must_use]
+    pub fn cache(&self) -> &ThroughputCache {
+        &self.cache
+    }
+
     /// Performance counters accumulated across all generations.
     #[must_use]
     pub fn perf_counters(&self) -> EvoPerfCounters {
@@ -229,17 +247,20 @@ impl EvolutionarySearch {
         // Search-scoped throughput memoisation: every (job, placement
         // shape, batches) evaluation is pure for as long as the job's
         // profile is, so entries survive across generations; job events
-        // drop per-job entries via [`Self::invalidate_job`]. A
-        // caller-installed cache is kept when ours is disabled. (The
-        // local Arc clone keeps the borrow away from `self` so the
-        // counters below stay mutably reachable.)
+        // drop per-job entries via [`Self::invalidate_job`]. (The local
+        // Arc clone keeps the borrow away from `self` so the counters
+        // below stay mutably reachable.)
         let cache = Arc::clone(&self.cache);
-        let gctx = if self.config.use_cache {
-            ctx.with_cache(&cache)
+        let gctx = ctx.with_cache(&cache);
+        #[cfg(test)]
+        let gctx = if self.reference_scoring {
+            EvoContext {
+                cache: None,
+                ..*ctx
+            }
         } else {
-            *ctx
+            gctx
         };
-        let delta = self.config.delta_score;
 
         // Base stream for this generation; every work unit below forks its
         // own child stream, so no RNG state is shared across units.
@@ -254,12 +275,12 @@ impl EvolutionarySearch {
         // Refresh every member against live state (this is also where new
         // arrivals enter every candidate), and carry each member's score
         // card forward: only refresh-touched and invalidated jobs
-        // re-resolve their throughput.
+        // re-resolve their throughput. A freshly initialised population
+        // has no cards yet and builds them.
         let t_refresh = Instant::now();
         let member_idx: Vec<usize> = (0..self.population.len()).collect();
         let population = &self.population;
         let cards = &self.cards;
-        let have_cards = delta && cards.len() == population.len();
         let pending = std::mem::take(&mut self.pending_invalidations);
         let refreshed: Vec<(Schedule, ScoreCard)> =
             map_maybe_parallel(parallel, &member_idx, |&i| {
@@ -268,13 +289,12 @@ impl EvolutionarySearch {
                     &population[i],
                     &mut base.fork_idx("refresh", i as u64),
                 );
-                let card = if have_cards {
-                    dirty.extend(pending.iter().copied());
-                    ScoreCard::derive(&gctx, &s, &cards[i], &dirty, None)
-                } else if delta {
-                    ScoreCard::build(&gctx, &s)
-                } else {
-                    ScoreCard::default()
+                let card = match cards.get(i) {
+                    Some(card) => {
+                        dirty.extend(pending.iter().copied());
+                        ScoreCard::derive(&gctx, &s, card, &dirty, None)
+                    }
+                    None => ScoreCard::build(&gctx, &s),
                 };
                 (s, card)
             });
@@ -289,6 +309,9 @@ impl EvolutionarySearch {
         // GPUs so the Eq 4 full-utilisation constraint holds (a child
         // that merely dropped a job would otherwise score better by
         // having fewer SRUF terms), and reorder for locality (Figure 10).
+        // Its score card derives from the parent's in that task too: via
+        // the op's and legalisation's dirty jobs, with the reorder layout
+        // giving every job's packed placement shape in O(1).
         let t_derive = Instant::now();
         let mut select = base.fork("select");
         let pairs: Vec<(usize, usize)> = (0..self.config.crossover_pairs)
@@ -301,21 +324,6 @@ impl EvolutionarySearch {
         let mutation_rate = self.config.mutation_rate;
         let crossover_pairs = self.config.crossover_pairs;
 
-        // Derive one child's schedule *and* score card in the same task:
-        // the card comes from the parent's via the op's dirty set (union
-        // the legalise touches), with the reorder layout giving every
-        // job's packed placement shape in O(1).
-        let derive_card = |child: &Schedule,
-                           parent_card: &ScoreCard,
-                           mut dirty: DirtySet,
-                           legal_dirty: DirtySet,
-                           layout: Option<&[JobRun]>| {
-            if !delta {
-                return ScoreCard::default();
-            }
-            dirty.extend(legal_dirty);
-            ScoreCard::derive(&gctx, child, parent_card, &dirty, layout)
-        };
         let pair_idx: Vec<usize> = (0..pairs.len()).collect();
         let crossed: Vec<((Schedule, ScoreCard), (Schedule, ScoreCard))> =
             map_maybe_parallel(parallel, &pair_idx, |&p| {
@@ -325,17 +333,22 @@ impl EvolutionarySearch {
                     &refreshed[bi],
                     &mut base.fork_idx("cross", p as u64),
                 );
-                let (s1, d1, l1) =
-                    legalise(&gctx, c1, base.fork_idx("legalise", 2 * p as u64), reorder);
+                let (s1, d1, l1) = legalise(
+                    &gctx,
+                    c1,
+                    xdirty.clone(),
+                    base.fork_idx("legalise", 2 * p as u64),
+                    reorder,
+                );
                 let (s2, d2, l2) = legalise(
                     &gctx,
                     c2,
+                    xdirty,
                     base.fork_idx("legalise", 2 * p as u64 + 1),
                     reorder,
                 );
-                let card1 =
-                    derive_card(&s1, &refreshed_cards[ai], xdirty.clone(), d1, l1.as_deref());
-                let card2 = derive_card(&s2, &refreshed_cards[bi], xdirty, d2, l2.as_deref());
+                let card1 = ScoreCard::derive(&gctx, &s1, &refreshed_cards[ai], &d1, l1.as_deref());
+                let card2 = ScoreCard::derive(&gctx, &s2, &refreshed_cards[bi], &d2, l2.as_deref());
                 ((s1, card1), (s2, card2))
             });
         let mutant_idx: Vec<usize> = (0..parents.len()).collect();
@@ -349,10 +362,11 @@ impl EvolutionarySearch {
             let (s, d, l) = legalise(
                 &gctx,
                 child,
+                mdirty,
                 base.fork_idx("legalise", (2 * crossover_pairs + m) as u64),
                 reorder,
             );
-            let card = derive_card(&s, &refreshed_cards[parents[m]], mdirty, d, l.as_deref());
+            let card = ScoreCard::derive(&gctx, &s, &refreshed_cards[parents[m]], &d, l.as_deref());
             (s, card)
         });
         self.counters.derive_nanos += t_derive.elapsed().as_nanos() as u64;
@@ -375,45 +389,40 @@ impl EvolutionarySearch {
         // Selection: Algorithm 1 sampling, keep the K best. The sort is
         // stable under total_cmp, so equal scores keep pool order and the
         // lowest-index candidate wins ties deterministically; NaN scores
-        // sort last instead of panicking. Delta scoring multiplies each
-        // card's ρ-independent factors by this generation's remaining
-        // workloads — the same terms in the same order as the full
-        // rescore, so the totals are bit-identical.
+        // sort last instead of panicking. Each card's ρ-independent
+        // factors are multiplied by this generation's remaining workloads
+        // — the same terms in the same order as the full rescore, so the
+        // totals are bit-identical.
         let t_score = Instant::now();
         let rhos = scoring::sample_rhos(&gctx, &mut base.fork("rhos"));
-        let scores: Vec<f64> = if delta {
-            let remaining = scoring::remaining_workloads(&gctx, &rhos);
-            pool_cards.iter().map(|c| c.score(&remaining)).collect()
-        } else {
+        let remaining = scoring::remaining_workloads(&gctx, &rhos);
+        let scores: Vec<f64> = pool_cards.iter().map(|c| c.score(&remaining)).collect();
+        #[cfg(test)]
+        let scores = if self.reference_scoring {
             scoring::score_all(&gctx, &pool, &rhos)
+        } else {
+            scores
         };
         self.counters.candidates_scored += pool.len() as u64;
         let mut order: Vec<usize> = (0..pool.len()).collect();
         order.sort_by(|&a, &b| scores[a].total_cmp(&scores[b]));
         self.counters.score_nanos += t_score.elapsed().as_nanos() as u64;
-        if self.config.use_cache {
-            // The cache is cumulative across the search's lifetime;
-            // counters mirror its totals and keep the last generation's
-            // delta for the cross-generation (warm) hit-rate signal.
-            self.counters.cache_hits = cache.hits();
-            self.counters.cache_misses = cache.misses();
-            self.counters.cache_duplicate_computes = cache.duplicate_computes();
-            self.counters.cache_invalidations = cache.invalidations();
-            self.counters.cache_hits_last_gen =
-                self.counters.cache_hits - counters_before.cache_hits;
-            self.counters.cache_misses_last_gen =
-                self.counters.cache_misses - counters_before.cache_misses;
-        }
+        // The cache is cumulative across the search's lifetime; counters
+        // mirror its totals and keep the last generation's delta for the
+        // cross-generation (warm) hit-rate signal.
+        self.counters.cache_hits = cache.hits();
+        self.counters.cache_misses = cache.misses();
+        self.counters.cache_duplicate_computes = cache.duplicate_computes();
+        self.counters.cache_invalidations = cache.invalidations();
+        self.counters.cache_hits_last_gen = self.counters.cache_hits - counters_before.cache_hits;
+        self.counters.cache_misses_last_gen =
+            self.counters.cache_misses - counters_before.cache_misses;
         gen_span.arg("pool", pool.len());
         self.counters.forward_delta_to_registry(&counters_before);
         let best = pool[order[0]].clone();
         let keep: Vec<usize> = order.into_iter().take(self.config.population).collect();
         self.population = keep.iter().map(|&i| pool[i].clone()).collect();
-        self.cards = if delta {
-            keep.iter().map(|&i| pool_cards[i].clone()).collect()
-        } else {
-            Vec::new()
-        };
+        self.cards = keep.iter().map(|&i| pool_cards[i].clone()).collect();
         best
     }
 
@@ -589,34 +598,164 @@ mod tests {
 
     #[test]
     fn cache_and_parallel_do_not_change_selection() {
-        let mut fx = Fixture::new(6);
-        for i in 0..6 {
-            fx.start_job(i, (i * 3) as u32 + 1);
-        }
+        let fx = varied_fixture(6, 0b11_1111, &[1, 4, 7, 10, 13, 16]);
         let view = fx.view();
         let c = ctx(&fx, &view);
-        let mut plain_cfg = EvoConfig::for_cluster(8);
-        plain_cfg.parallel_derive = false;
-        plain_cfg.use_cache = false;
+        let mut ref_cfg = EvoConfig::for_cluster(8);
+        ref_cfg.parallel_derive = false;
         let full_cfg = EvoConfig::for_cluster(8);
-        assert!(full_cfg.parallel_derive && full_cfg.use_cache);
-        let mut plain = EvolutionarySearch::new(plain_cfg, DetRng::seed(23));
+        assert!(full_cfg.parallel_derive);
+        let mut reference = EvolutionarySearch::reference(ref_cfg, DetRng::seed(23));
         let mut full = EvolutionarySearch::new(full_cfg, DetRng::seed(23));
         for g in 0..4 {
             assert_eq!(
-                plain.generation(&c),
+                reference.generation(&c),
                 full.generation(&c),
                 "S_* diverged at generation {g}"
             );
-            assert_eq!(plain.population(), full.population());
+            assert_eq!(reference.population(), full.population());
         }
         let counters = full.perf_counters();
         assert_eq!(counters.generations, 4);
         assert!(counters.candidates_scored > 0);
         assert!(counters.cache_hits > 0, "cache never hit");
-        assert_eq!(plain.perf_counters().cache_hits, 0);
+        assert_eq!(reference.perf_counters().cache_hits, 0);
     }
 
-    use ones_simcore::DetRng;
+    /// `n_jobs` fixture jobs with varied Beta predictions and limits worth
+    /// two to sixteen GPUs (ResNet18 fits 512 samples on one); the jobs in
+    /// `running_mask` run with `epochs[i % epochs.len()]` epochs done.
+    /// Multi-GPU limits let candidates differ in GPU counts and so in
+    /// score: with every job capped at one GPU, every candidate ties and
+    /// a lockstep test cannot tell a wrong score from a right one.
+    fn varied_fixture(n_jobs: u64, running_mask: u64, epochs: &[u32]) -> Fixture {
+        let mut fx = Fixture::new(n_jobs);
+        for i in 0..n_jobs {
+            fx.limits.insert(JobId(i), 1024 << (i % 4));
+            fx.betas.insert(
+                JobId(i),
+                Beta::new(1.0 + (i % 7) as f64, 3.0 + (i % 11) as f64),
+            );
+            if running_mask & (1 << i) != 0 {
+                fx.start_job(i, epochs[i as usize % epochs.len()]);
+            }
+        }
+        fx
+    }
+
+    fn view_at(fx: &Fixture, secs: f64) -> ClusterView<'_> {
+        ClusterView {
+            now: SimTime::from_secs(secs),
+            ..fx.view()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A full generation of the card-scored, cached search, derived
+        /// sequentially or across threads, is bit-identical to the
+        /// reference search for arbitrary live state and seeds.
+        #[test]
+        fn generation_matches_reference_under_parallelism(
+            running_mask in 0u64..64,
+            seed in 0u64..500,
+        ) {
+            let fx = varied_fixture(6, running_mask, &[1, 2, 8, 20]);
+            let view = view_at(&fx, 300.0);
+            let c = ctx(&fx, &view);
+            let mut reference = {
+                let mut cfg = EvoConfig::for_cluster(8);
+                cfg.parallel_derive = false;
+                EvolutionarySearch::reference(cfg, DetRng::seed(seed))
+            };
+            let mut searches: Vec<EvolutionarySearch> = [false, true]
+                .iter()
+                .map(|&parallel_derive| {
+                    let mut cfg = EvoConfig::for_cluster(8);
+                    cfg.parallel_derive = parallel_derive;
+                    EvolutionarySearch::new(cfg, DetRng::seed(seed))
+                })
+                .collect();
+
+            for g in 0..2 {
+                let expected = reference.generation(&c);
+                for s in &mut searches {
+                    let parallel = s.config().parallel_derive;
+                    prop_assert_eq!(
+                        &expected, &s.generation(&c),
+                        "S_* diverged (parallel: {}) at generation {}", parallel, g
+                    );
+                    prop_assert_eq!(
+                        reference.population(), s.population(),
+                        "population diverged (parallel: {}) at generation {}", parallel, g
+                    );
+                }
+            }
+        }
+
+        /// A persistent card-scored search whose cross-generation cache is
+        /// invalidated per job event stays bit-identical to the reference
+        /// search over a replay trace with kills, arrivals and epoch ends
+        /// mutating the live state between generations.
+        #[test]
+        fn persistent_cache_with_invalidation_matches_reference_search(
+            kills in proptest::collection::vec(0u64..6, 1..4),
+            seed in 0u64..500,
+        ) {
+            let mut fx = varied_fixture(6, 0b111, &[1, 2, 8]);
+            let mut ref_cfg = EvoConfig::for_cluster(8);
+            ref_cfg.parallel_derive = false;
+            let mut search = EvolutionarySearch::new(EvoConfig::for_cluster(8), DetRng::seed(seed));
+            let mut reference = EvolutionarySearch::reference(ref_cfg, DetRng::seed(seed));
+
+            for (step, &k) in kills.iter().enumerate() {
+                let now = 100.0 * (step as f64 + 1.0);
+                {
+                    let view = view_at(&fx, now);
+                    let c = ctx(&fx, &view);
+                    let best = search.generation(&c);
+                    prop_assert_eq!(&best, &reference.generation(&c), "S_* diverged at step {}", step);
+                    prop_assert_eq!(
+                        search.population(), reference.population(),
+                        "population diverged at step {}", step
+                    );
+                }
+
+                // Kill job k (trace kill / completion).
+                fx.jobs.get_mut(&JobId(k)).unwrap().phase = JobPhase::Completed;
+                search.invalidate_job(JobId(k));
+                // Every surviving running job ends an epoch.
+                for (&id, st) in fx.jobs.iter_mut().filter(|(_, st)| st.is_running()) {
+                    st.epochs_done += 1;
+                    st.samples_processed += 20_000.0;
+                    st.exec_time += 8.0;
+                    search.invalidate_job(id);
+                }
+                // A new job arrives.
+                let arrival = 100 + step as u64;
+                fx.submit(arrival, now);
+                fx.betas.insert(JobId(arrival), Beta::new(1.0, 3.0));
+                search.invalidate_job(JobId(arrival));
+            }
+
+            // One final generation over the fully mutated state.
+            let view = view_at(&fx, 1_000.0);
+            let c = ctx(&fx, &view);
+            prop_assert_eq!(search.generation(&c), reference.generation(&c));
+            prop_assert_eq!(search.population(), reference.population());
+            // The persistent cache must actually have been reused across
+            // generations (warm hits) for the test to mean anything.
+            prop_assert!(
+                search.perf_counters().cache_hits_last_gen > 0,
+                "final generation never hit the warm cache"
+            );
+        }
+    }
+
+    use ones_schedcore::ClusterView;
+    use ones_simcore::{DetRng, SimTime};
+    use ones_stats::Beta;
     use ones_workload::JobId;
+    use proptest::prelude::*;
 }

@@ -451,8 +451,25 @@ fn test_regions(toks: &[Tok]) -> Vec<(usize, usize)> {
                         k += 1;
                     }
                 }
-                if let Some(open_rel) = toks[k..].iter().position(|t| t.text == "{") {
-                    let open = k + open_rel;
+                // A gated field, statement or `use` ends at its own `,`,
+                // `;` or closing `}`; only a braced item spans a block.
+                let mut nest = 0usize;
+                let stop = toks[k..].iter().position(|t| {
+                    match t.text.as_str() {
+                        "(" | "[" => nest += 1,
+                        ")" | "]" => nest = nest.saturating_sub(1),
+                        "{" => return true,
+                        "," | ";" | "}" => return nest == 0,
+                        _ => {}
+                    }
+                    false
+                });
+                if let Some(end) = stop.map(|r| k + r).filter(|&e| toks[e].text != "{") {
+                    ranges.push((i, end));
+                    i = end + 1;
+                    continue;
+                }
+                if let Some(open) = stop.map(|r| k + r) {
                     let mut d = 0usize;
                     let mut end = open;
                     for (off, t) in toks[open..].iter().enumerate() {
@@ -501,6 +518,26 @@ mod tests {
         let f = findings("crates/oned/src/server.rs", src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].line, 2);
+    }
+
+    #[test]
+    fn cfg_test_fields_and_statements_exempt_only_themselves() {
+        let src = r#"
+            struct S {
+                #[cfg(test)]
+                oracle: bool,
+            }
+            impl S {
+                fn live(&self) {
+                    #[cfg(test)]
+                    let x = if self.oracle { y.unwrap() } else { 0 };
+                    z.unwrap();
+                }
+            }
+        "#;
+        let f = findings("crates/oned/src/server.rs", src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].line, 10);
     }
 
     #[test]

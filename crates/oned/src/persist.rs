@@ -6,14 +6,13 @@
 //! previous or the new snapshot on disk, never a torn one. The snapshot
 //! is a *recovery log*, not a memory image: it records every submitted
 //! job spec (trace preload and live API submissions alike, each with its
-//! effective arrival time) plus the reconciler's view of the deployed
-//! schedule and in-flight scaling operations. Because stepping is
+//! effective arrival time) and the drain flag. Because stepping is
 //! deterministic for a fixed job log and seed, recovery replays the log
 //! through an identically-configured backend and reaches the same
 //! fixpoint the interrupted run was heading for — the property pinned by
-//! `tests/crash_recovery.rs`.
+//! `tests/crash_recovery.rs`. Deployed schedules and in-flight scaling
+//! operations are not saved: the replay rebuilds them.
 
-use ones_schedcore::Reconciler;
 use ones_simulator::ClusterBackend;
 use ones_workload::JobSpec;
 use serde::{Deserialize, Serialize};
@@ -33,12 +32,10 @@ pub struct PersistedState {
     pub now_secs: f64,
     /// Every submitted job spec in id order, arrival times effective.
     pub jobs: Vec<JobSpec>,
-    /// Deployed schedule + in-flight scaling operations at the snapshot.
-    pub reconcile: Option<Reconciler>,
 }
 
 impl PersistedState {
-    /// Captures the backend's current job log and reconcile state.
+    /// Captures the backend's current job log.
     #[must_use]
     pub fn snapshot(backend: &dyn ClusterBackend, draining: bool) -> Self {
         // `job_statuses` is keyed by id in a BTreeMap, so the log comes
@@ -54,7 +51,6 @@ impl PersistedState {
             draining,
             now_secs: backend.now_secs(),
             jobs,
-            reconcile: backend.reconcile_state(),
         }
     }
 }
@@ -113,18 +109,12 @@ mod tests {
     }
 
     fn state() -> PersistedState {
-        let mut reconcile = Reconciler::new(8);
-        let mut desired = ones_schedcore::Schedule::empty(8);
-        desired.assign(ones_cluster::GpuId(0), JobId(0), 128);
-        desired.assign(ones_cluster::GpuId(1), JobId(0), 128);
-        reconcile.reconcile(&desired);
         PersistedState {
             scheduler: "ones".to_string(),
             total_gpus: 8,
             draining: true,
             now_secs: 123.5,
             jobs: vec![spec(0), spec(1)],
-            reconcile: Some(reconcile),
         }
     }
 
@@ -140,9 +130,37 @@ mod tests {
         assert_eq!(recovered.total_gpus, original.total_gpus);
         assert_eq!(recovered.draining, original.draining);
         assert_eq!(recovered.jobs, original.jobs);
-        assert_eq!(recovered.reconcile, original.reconcile);
         // No tmp file left behind.
         assert!(!path.with_extension("tmp").exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn loads_snapshots_that_still_carry_reconcile_state() {
+        // Earlier daemons also saved the reconciler's state under a
+        // "reconcile" key; recovery never read it, and loading ignores it.
+        let mut reconciler = ones_schedcore::Reconciler::new(8);
+        let mut desired = ones_schedcore::Schedule::empty(8);
+        desired.assign(ones_cluster::GpuId(0), JobId(0), 128);
+        desired.assign(ones_cluster::GpuId(1), JobId(0), 128);
+        reconciler.reconcile(&desired);
+        let original = state();
+        let serde_json::Value::Object(mut fields) = serde_json::to_value(&original) else {
+            panic!("a snapshot serialises to an object");
+        };
+        fields.push((
+            "reconcile".to_string(),
+            serde_json::to_value(&Some(reconciler)),
+        ));
+        let dir = std::env::temp_dir().join(format!("ones-persist4-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("state.json");
+        let legacy = serde_json::to_string(&serde_json::Value::Object(fields)).expect("json");
+        assert!(legacy.contains("\"reconcile\":{"));
+        std::fs::write(&path, legacy).expect("write");
+        let recovered = load(&path).expect("load");
+        assert_eq!(recovered.jobs, original.jobs);
+        assert_eq!(recovered.draining, original.draining);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -185,13 +185,9 @@ fn sigkill_mid_reconcile_recovers_to_the_uninterrupted_fixpoint() {
     let _ = victim.wait();
 
     // The snapshot on disk is a valid recovery log: parseable, with the
-    // full job log and a reconcile state.
+    // full job log.
     let snapshot = ones_d::persist::load(&state_file).expect("persisted state parses");
     assert_eq!(snapshot.jobs.len(), JOBS as usize);
-    assert!(
-        snapshot.reconcile.is_some(),
-        "snapshot must carry reconcile state"
-    );
     assert!(!snapshot.draining);
 
     // Restart from the state file (same flags, unthrottled) and replay
@@ -217,4 +213,54 @@ fn sigkill_mid_reconcile_recovers_to_the_uninterrupted_fixpoint() {
             other => panic!("job {id} completion mismatch: {other:?}"),
         }
     }
+}
+
+#[test]
+fn restart_recovers_from_a_state_file_that_still_carries_reconcile_state() {
+    // A run to the fixpoint leaves a snapshot with the full job log.
+    let dir = TempDir::new("legacy");
+    let state_file = dir.file("state.json");
+    let (mut first, addr) = spawn_daemon(&["--state-file", state_file.to_str().unwrap()]);
+    let mut client = Client::connect(addr.as_str()).expect("resolve first daemon");
+    let expected = run_to_fixpoint(&mut client);
+    first.kill().expect("stop first daemon");
+    let _ = first.wait();
+
+    // Rewrite it in the earlier format, which also saved the reconciler's
+    // state under a "reconcile" key. The draining flag marks the file as
+    // the one loaded: a fresh start would not drain.
+    let text = std::fs::read_to_string(&state_file).expect("read snapshot");
+    let serde_json::Value::Object(mut fields) =
+        serde_json::from_str::<serde_json::Value>(&text).expect("snapshot parses")
+    else {
+        panic!("snapshot is a JSON object");
+    };
+    let mut reconciler = ones_schedcore::Reconciler::new(16);
+    let mut desired = ones_schedcore::Schedule::empty(16);
+    desired.assign(ones_cluster::GpuId(0), ones_workload::JobId(0), 128);
+    reconciler.reconcile(&desired);
+    fields.retain(|(key, _)| key != "draining");
+    fields.push(("draining".to_string(), serde_json::Value::Bool(true)));
+    fields.push((
+        "reconcile".to_string(),
+        serde_json::to_value(&Some(reconciler)),
+    ));
+    std::fs::write(
+        &state_file,
+        serde_json::to_string(&serde_json::Value::Object(fields)).expect("json"),
+    )
+    .expect("write legacy snapshot");
+
+    let (mut recovered, addr) = spawn_daemon(&["--state-file", state_file.to_str().unwrap()]);
+    let mut client = Client::connect(addr.as_str()).expect("resolve recovered daemon");
+    let actual = run_to_fixpoint(&mut client);
+    let cluster = client.get_json("/v1/cluster").expect("cluster");
+    recovered.kill().expect("stop recovered daemon");
+    let _ = recovered.wait();
+    assert_eq!(
+        cluster.get("draining").and_then(|v| v.as_bool()),
+        Some(true),
+        "restart did not load the state file"
+    );
+    assert_eq!(actual, expected);
 }

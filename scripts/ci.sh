@@ -31,13 +31,13 @@ echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
 echo "==> cargo test (workspace)"
-cargo test -q
+cargo test -q --workspace
 
 echo "==> ones-lint (concurrency & determinism rules; lint.allow for exceptions)"
 cargo run -q --release -p ones-lint
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -197,10 +197,11 @@ fi
 
 if [[ "${RUN_BENCH:-0}" == "1" ]]; then
     echo "==> evolution micro-bench (BENCH_evolution.json)"
-    # Scoring-phase regression gate: the 1 024-GPU delta-scoring speedup
-    # over the cached full rescore must stay within 30% of the committed
-    # baseline, and never drop below the 5x acceptance floor. The bench
-    # itself enforces the floor (non-zero exit on regression).
+    # Scoring regression gate: at 1 024 GPUs, scoring the warm population
+    # by its score cards must stay faster than the full rescore over the
+    # warm cache by at least 70% of the committed speedup, and never by
+    # less than the 5x acceptance floor. The bench itself enforces the
+    # floor (non-zero exit on regression).
     floor="5.0"
     if [[ -f BENCH_evolution.json ]]; then
         committed="$(grep -o '"scoring_speedup_1024_delta_vs_cache": *[0-9.eE+-]*' \
